@@ -6,16 +6,16 @@
 //!     --workload reach-chain --seed 1 --seconds 25 --trace 0
 //! ```
 //!
-//! One run builds one workload from its seed, then spends `--seconds`
-//! across three measured phases, each a loop that stops when its share of
-//! the time is spent (and it has its minimum sample count):
+//! One run builds one workload from its seed, then spends `--seconds` in
+//! four-second cycles through three measured phases, each given its share
+//! of the cycle:
 //!
 //! 1. the fixpoint legs: the workload's program to fixpoint on the serial,
 //!    sharded:2, pipelined:2 and multigpu:2 backends, round-robin, every
 //!    run checked byte-for-byte against the first serial one;
-//! 2. the serving window: one closed-loop reader thread issuing
-//!    `point_lookup` (and every 16th a non-prefix `goal_lookup`) against a
-//!    `gpulog-serve` snapshot, beside one open-loop writer thread that
+//! 2. a serving window: one closed-loop reader thread issuing
+//!    `point_lookup` (and at a fixed share a non-prefix `goal_lookup`)
+//!    against a `gpulog-serve` snapshot, beside one open-loop writer that
 //!    inserts an isolated fact and refreshes at the workload's fixed rate;
 //! 3. the goal queries: one closed-loop client calling
 //!    `GpulogEngine::run_query_with(relation, [Some(src), None])` in
@@ -23,7 +23,18 @@
 //!
 //! Set-up (device, engine build, fact load; for `serve-mixed` also the
 //! first fixpoint and its publish) is timed three times after every
-//! fixpoint round. Every answer is then checked against host oracles that share no code
+//! fixpoint round.
+//!
+//! The shared host this benchmark was sized on runs the same code up to
+//! ~1.7x slower at some times than at others, for half a second or for
+//! minutes. So every end-to-end wall time is scaled by the host's speed
+//! at the time it was taken, as timed by a fixed probe kernel on the same
+//! thread (see [`HostClock`]), and each metric is then a median (or, for
+//! lookups, a percentile) over all of the run's scaled samples. The phases
+//! are cycled so that every metric samples the whole run. glibc's
+//! allocator thresholds are pinned first (see [`pin_malloc_thresholds`]).
+//!
+//! Every answer is then checked against host oracles that share no code
 //! with the engine, and the last line of standard output is the result
 //! object. With `--trace 0` it carries the end-to-end metrics; with
 //! `--trace 1` the same script runs with a span recorder and a timing
@@ -50,7 +61,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use trace::{BackendTotals, TimedBackend, Tracer};
-use workload::{HostGraph, Kind, Rng, Size, Workload};
+use workload::{Kind, Rng, Size, Workload};
 
 /// End-to-end metrics, printed with `--trace 0` (name, unit).
 const END_TO_END: [(&str, &str); 14] = [
@@ -150,11 +161,21 @@ const SHARDS: usize = 2;
 /// The second core is left to the serving window's second client thread
 /// and the pipelined backend's merge lane.
 const DEVICE_WORKERS: usize = 1;
-/// Every `GOAL_LOOKUP_EVERY`-th reader operation is a non-prefix
-/// `goal_lookup`; the rest are `point_lookup`s.
-const GOAL_LOOKUP_EVERY: u64 = 16;
 /// Set-ups timed after each fixpoint round; `setup_s` is their median.
 const SETUPS_PER_ROUND: usize = 3;
+/// How old a thread's host-speed probe may be when it scales a sample
+/// (see [`HostClock`]).
+const PROBE_EVERY: Duration = Duration::from_millis(100);
+/// The probe time a scaled wall time is referred to: a scaled time reads
+/// what the sample would have taken on a host that runs the probe in 1 ms
+/// (the host this benchmark was sized on took 0.75-1.6 ms).
+const PROBE_REF_S: f64 = 0.001;
+/// A probe is the fastest of this many probe kernels.
+const PROBE_REPS: usize = 2;
+/// The writer probes only when its next update is due at least this late.
+const WRITER_PROBE_SLACK: Duration = Duration::from_millis(10);
+/// One cycle through the three phases (see [`run`]).
+const CYCLE: Duration = Duration::from_secs(4);
 /// Every `SAMPLE_EVERY`-th reader answer is kept and checked afterwards,
 /// up to `MAX_SAMPLES` of them (kept answers count in `peak_rss_mib`).
 const SAMPLE_EVERY: u64 = 61;
@@ -405,6 +426,7 @@ fn relation<'a>(outputs: &'a Outputs, name: &str) -> &'a [u32] {
 
 /// Runs one workload and returns its outcome.
 fn run(args: &Args) -> Result<Outcome, String> {
+    let malloc = pin_malloc_thresholds();
     let w = workload::build(&args.workload, args.seed, args.size)?;
     let tracer = Tracer::new(args.trace);
     let mut tally = Tally::default();
@@ -415,27 +437,29 @@ fn run(args: &Args) -> Result<Outcome, String> {
         frontend_breakdown(&w, &tracer, &mut tally, &mut m);
     }
     let mut conditions = run_conditions(args, &w);
-    let mut setups = Setups::default();
-    let reference = fixpoint_phase(
-        &w,
-        budget.mul_f64(w.shares.fixpoint),
-        &tracer,
-        &mut tally,
-        &mut m,
-        &mut conditions,
-        &mut setups,
-    );
-    m.insert("setup_s", median(&setups.times));
-    m.insert("frontend.build_us", median(&setups.builds_us));
-    let served = setups.served.take();
-    let serve = serve_phase(
-        &w,
-        served,
-        budget.mul_f64(w.shares.serve),
-        &tracer,
-        &mut tally,
-    );
-    let goal = goal_phase(&w, budget.mul_f64(w.shares.goal), &tracer, &mut tally);
+    conditions.push(("malloc".into(), malloc));
+    // The run cycles through the three phases, each for its share of a
+    // cycle, so every metric samples the whole run.
+    let cycle = CYCLE.min(budget);
+    let cycles = (secs(budget) / secs(cycle)).round().max(1.0) as u32;
+    conditions.push(("cycles".into(), format!("{cycles} x {} s", secs(cycle))));
+    let mut fixpoint = FixpointPhase::default();
+    let mut serve = ServePhase::new(&w);
+    let mut goal = GoalPhase::new(&w, &mut tally);
+    let mut clock = HostClock::new();
+    for _ in 0..cycles {
+        let budget = cycle.mul_f64(w.shares.fixpoint);
+        fixpoint.run_for(&w, budget, &tracer, &mut tally, &mut clock);
+        let served = fixpoint.setups.served.take();
+        let budget = cycle.mul_f64(w.shares.serve);
+        serve.run_for(&w, budget, served, &tracer, &mut tally, &mut clock);
+        let budget = cycle.mul_f64(w.shares.goal);
+        goal.run_for(&w, budget, &tracer, &mut tally, &mut clock);
+    }
+    conditions.push(("host_scale".into(), scale_summary(&clock.scales)));
+    let reference = fixpoint.report(&w, tracer.enabled(), &mut m, &mut conditions);
+    let serve = serve.finish(&mut tally);
+    let goal = goal.stats;
     // Peak memory is read before the oracles run in this process.
     m.insert("peak_rss_mib", peak_rss_mib());
 
@@ -478,6 +502,42 @@ fn run(args: &Args) -> Result<Outcome, String> {
     })
 }
 
+/// Pins glibc's mmap and trim thresholds, and says what it did.
+///
+/// By default glibc raises its mmap threshold to the size of the largest
+/// mmapped block freed so far. Whether a 1.5 MB block (a `goal_lookup`'s
+/// row vector on `reach-chain`) is then mapped and unmapped on every call
+/// or served from the heap depends on which blocks the run happened to
+/// free first: `goal_lookup_p50_us` read ~5.8 ms in some processes and
+/// ~4.4 ms in others of the same code and seed. Fixed thresholds, at the
+/// sizes the dynamic rule tends to, take that lottery out of the run.
+fn pin_malloc_thresholds() -> String {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        const MMAP_THRESHOLD: i32 = 32 << 20;
+        const TRIM_THRESHOLD: i32 = 64 << 20;
+        // SAFETY: `mallopt` only sets allocator parameters; glibc takes its
+        // own lock to do so.
+        let ok = unsafe {
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+                && mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+        };
+        if ok {
+            return "glibc mmap threshold 32 MiB, trim threshold 64 MiB".into();
+        }
+        "glibc thresholds dynamic (mallopt failed)".into()
+    }
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    {
+        "system allocator defaults".into()
+    }
+}
+
 /// The conditions every result is recorded with.
 fn run_conditions(args: &Args, w: &Workload) -> Vec<(String, String)> {
     let p = profile();
@@ -502,13 +562,16 @@ fn run_conditions(args: &Args, w: &Workload) -> Vec<(String, String)> {
         (
             "reader_mix".into(),
             format!(
-                "1 closed-loop reader: point_lookup {} of {GOAL_LOOKUP_EVERY}, goal_lookup [None, Some(y)] 1 of {GOAL_LOOKUP_EVERY}",
-                GOAL_LOOKUP_EVERY - 1
+                "1 closed-loop reader: point_lookup {} of {every}, goal_lookup [None, Some(y)] 1 of {every}",
+                w.goal_lookup_every - 1,
+                every = w.goal_lookup_every
             ),
         ),
         (
             "timing".into(),
-            "wall times are host CPU times of a simulated device; modeled_* is the simulated H100 cost model"
+            "wall times are host CPU times of a simulated device, end-to-end ones scaled to a \
+             host that runs the probe in 1 ms (host_scale); modeled_* is the simulated H100 \
+             cost model"
                 .into(),
         ),
     ];
@@ -534,8 +597,15 @@ struct Setups {
 
 /// One timed set-up: device, engine build and fact load, plus the first
 /// fixpoint and its publish for workloads whose set-up serves.
-fn setup_once(w: &Workload, tracer: &Tracer, tally: &mut Tally, setups: &mut Setups) {
+fn setup_once(
+    w: &Workload,
+    tracer: &Tracer,
+    tally: &mut Tally,
+    setups: &mut Setups,
+    clock: &mut HostClock,
+) {
     let request = tracer.request();
+    let scale = clock.scale();
     let start = Instant::now();
     let mut build_time = Duration::ZERO;
     let result = tracer.span("setup", Some(request), || -> EngineResult<_> {
@@ -557,7 +627,7 @@ fn setup_once(w: &Workload, tracer: &Tracer, tally: &mut Tally, setups: &mut Set
     match result {
         Ok((engine, writer)) => {
             tally.ok();
-            setups.times.push(secs(elapsed));
+            setups.times.push(secs(elapsed) * scale);
             setups.builds_us.push(secs(build_time) * 1e6);
             // Tear-down happens here, outside the timed region.
             drop(engine);
@@ -695,7 +765,10 @@ impl Leg {
 /// One measured fixpoint run.
 #[derive(Debug)]
 struct LegRun {
+    /// Raw wall time of `GpulogEngine::run`.
     wall: f64,
+    /// The host-speed scale at its start (see [`HostClock`]).
+    scale: f64,
     stats: RunStats,
     counters: CounterSnapshot,
     device_phases: HashMap<String, Duration>,
@@ -710,12 +783,89 @@ impl LegRun {
 
 /// Builds a fresh engine for `leg` (outside the timed region) and times
 /// its `run()`.
+/// The speed of the host, as seen from the calling thread.
+///
+/// The shared host this benchmark was sized on runs any code up to ~1.7x
+/// slower at some times than at others, in stretches from half a second
+/// to minutes, and no statistic over one run's samples removes a slow
+/// minute. So every end-to-end wall time is scaled by the host's speed at
+/// the time: the calling thread times a fixed probe kernel (sort, binary
+/// search, hash inserts, all in benchmark code) at most [`PROBE_EVERY`]
+/// before the sample, never inside a timed region, and the sample is
+/// multiplied by `PROBE_REF_S / probe`. A change in the program moves the
+/// sample and not the probe.
+#[derive(Debug)]
+struct HostClock {
+    probed: Instant,
+    scale: f64,
+    /// Every scale this clock measured, for the run conditions.
+    scales: Vec<f64>,
+}
+
+impl HostClock {
+    fn new() -> Self {
+        let mut clock = HostClock {
+            probed: Instant::now(),
+            scale: 1.0,
+            scales: Vec::new(),
+        };
+        clock.probe();
+        clock
+    }
+
+    fn probe(&mut self) {
+        let fastest = (0..PROBE_REPS)
+            .map(|_| probe_kernel())
+            .fold(f64::INFINITY, f64::min);
+        self.scale = PROBE_REF_S / fastest;
+        self.scales.push(self.scale);
+        self.probed = Instant::now();
+    }
+
+    /// The scale for a sample about to start, re-probed first when the
+    /// last probe is older than [`PROBE_EVERY`].
+    fn scale(&mut self) -> f64 {
+        if self.probed.elapsed() >= PROBE_EVERY {
+            self.probe();
+        }
+        self.scale
+    }
+}
+
+/// The count, minimum, median and maximum of `scales`, for the conditions.
+fn scale_summary(scales: &[f64]) -> String {
+    format!(
+        "{} probes, min {:.3} p50 {:.3} max {:.3}",
+        scales.len(),
+        percentile(scales, 0.0),
+        median(scales),
+        percentile(scales, 1.0)
+    )
+}
+
+/// The probe: fixed work, the same on every call, in the allocation,
+/// sorting and searching mix of the engine's kernels; its time in seconds.
+fn probe_kernel() -> f64 {
+    let start = Instant::now();
+    let mut rng = Rng::new(0x9E37);
+    let mut values: Vec<u64> = (0..16_384).map(|_| rng.next_u64() % 100_000).collect();
+    values.sort_unstable();
+    values.dedup();
+    let hits = (0..16_384)
+        .filter(|_| values.binary_search(&(rng.next_u64() % 100_000)).is_ok())
+        .count();
+    let set: HashSet<u64> = values.iter().take(4096).copied().collect();
+    std::hint::black_box((hits, set.len()));
+    secs(start.elapsed())
+}
+
 fn run_leg(
     w: &Workload,
     leg: Leg,
     device: &Device,
     tracer: &Arc<Tracer>,
     wrap: bool,
+    clock: &mut HostClock,
 ) -> EngineResult<(LegRun, Outputs)> {
     let mut builder = GpulogEngine::builder(device)
         .program(w.source())
@@ -727,6 +877,7 @@ fn run_leg(
         totals = Some(handle);
     }
     let mut engine = w.load(builder.build()?)?;
+    let scale = clock.scale();
     device.metrics().reset_phase_times();
     let before = device.metrics().snapshot();
     let request = tracer.request();
@@ -740,6 +891,7 @@ fn run_leg(
     Ok((
         LegRun {
             wall,
+            scale,
             stats,
             counters,
             device_phases,
@@ -762,41 +914,64 @@ fn med(runs: &[LegRun], f: impl Fn(&LegRun) -> f64) -> f64 {
     median(&runs.iter().map(f).collect::<Vec<_>>())
 }
 
-/// Phase 1: the four backend legs, round-robin until the budget is spent.
-/// Returns the first serial run's outputs, which every later run must
-/// equal byte for byte and the oracles then check.
-fn fixpoint_phase(
-    w: &Workload,
-    budget: Duration,
-    tracer: &Arc<Tracer>,
-    tally: &mut Tally,
-    m: &mut BTreeMap<&'static str, f64>,
-    conditions: &mut Vec<(String, String)>,
-    setups: &mut Setups,
-) -> Option<Outputs> {
-    // The self-test's tiny inputs need one measured round, not three.
-    let min_reps = if w.size == Size::Tiny { 1 } else { 3 };
-    let devices: Vec<Device> = LEGS.iter().map(|_| device()).collect();
-    let mut runs: Vec<Vec<LegRun>> = LEGS.iter().map(|_| Vec::new()).collect();
-    let mut untraced: Vec<f64> = Vec::new();
-    let mut reference: Option<Outputs> = None;
-    let deadline = Instant::now() + budget;
-    // Round 0 warms each device's pools and is not measured.
-    let mut round = 0usize;
-    loop {
-        let round_start = Instant::now();
+/// Phase 1: the four backend legs, round-robin. The first serial run's
+/// outputs are the reference every later run must equal byte for byte
+/// and the oracles then check.
+#[derive(Debug, Default)]
+struct FixpointPhase {
+    devices: Vec<Device>,
+    runs: Vec<Vec<LegRun>>,
+    /// Serial walls without the wrapper or spans (traced runs only).
+    untraced: Vec<f64>,
+    reference: Option<Outputs>,
+    setups: Setups,
+    rounds: usize,
+}
+
+impl FixpointPhase {
+    /// Rounds for `budget`: at least one, and two in the run's first call
+    /// (round 0 warms each device's pools and is not measured).
+    fn run_for(
+        &mut self,
+        w: &Workload,
+        budget: Duration,
+        tracer: &Arc<Tracer>,
+        tally: &mut Tally,
+        clock: &mut HostClock,
+    ) {
+        if self.devices.is_empty() {
+            self.devices = LEGS.iter().map(|_| device()).collect();
+            self.runs = LEGS.iter().map(|_| Vec::new()).collect();
+        }
+        let deadline = Instant::now() + budget;
+        loop {
+            let round_start = Instant::now();
+            self.round(w, tracer, tally, clock);
+            if !another_round(self.rounds, 2, round_start, deadline) {
+                break;
+            }
+        }
+    }
+
+    fn round(
+        &mut self,
+        w: &Workload,
+        tracer: &Arc<Tracer>,
+        tally: &mut Tally,
+        clock: &mut HostClock,
+    ) {
         for (i, &leg) in LEGS.iter().enumerate() {
-            match run_leg(w, leg, &devices[i], tracer, tracer.enabled()) {
+            match run_leg(w, leg, &self.devices[i], tracer, tracer.enabled(), clock) {
                 Ok((run, rows)) => {
                     tally.ok();
-                    match &reference {
-                        None => reference = Some(rows),
+                    match &self.reference {
+                        None => self.reference = Some(rows),
                         Some(expected) => tally.check(*expected == rows, || {
                             format!("{leg:?} fixpoint differs from the serial one")
                         }),
                     }
-                    if round > 0 {
-                        runs[i].push(run);
+                    if self.rounds > 0 {
+                        self.runs[i].push(run);
                     }
                 }
                 Err(err) => tally.fail(format!("{leg:?} fixpoint: {err}")),
@@ -806,61 +981,61 @@ fn fixpoint_phase(
             // The same serial run without the wrapper or spans, for the
             // tracing overhead.
             let plain = Tracer::new(false);
-            match run_leg(w, Leg::Serial, &devices[0], &plain, false) {
-                Ok((run, _)) if round > 0 => untraced.push(run.wall),
+            match run_leg(w, Leg::Serial, &self.devices[0], &plain, false, clock) {
+                Ok((run, _)) if self.rounds > 0 => self.untraced.push(run.wall),
                 Ok(_) => {}
                 Err(err) => tally.fail(format!("untraced serial fixpoint: {err}")),
             }
         }
         for _ in 0..SETUPS_PER_ROUND {
-            setup_once(w, tracer, tally, setups);
+            setup_once(w, tracer, tally, &mut self.setups, clock);
         }
-        round += 1;
-        if !another_round(round, min_reps + 1, round_start, deadline) {
-            break;
-        }
+        self.rounds += 1;
     }
 
-    for (i, leg) in LEGS.iter().enumerate() {
-        let walls: Vec<f64> = runs[i].iter().map(|r| r.wall).collect();
-        m.insert(leg.metric(), median(&walls));
-        conditions.push((
-            format!("{}_reps", leg.metric()),
-            format!(
-                "{} runs, min {:.6} p50 {:.6} max {:.6}",
-                walls.len(),
-                percentile(&walls, 0.0),
-                median(&walls),
-                percentile(&walls, 1.0)
-            ),
-        ));
+    /// Reports the legs' metrics and returns the reference outputs.
+    fn report(
+        self,
+        w: &Workload,
+        traced: bool,
+        m: &mut BTreeMap<&'static str, f64>,
+        conditions: &mut Vec<(String, String)>,
+    ) -> Option<Outputs> {
+        m.insert("setup_s", median(&self.setups.times));
+        m.insert("frontend.build_us", median(&self.setups.builds_us));
+        for (i, leg) in LEGS.iter().enumerate() {
+            let walls: Vec<f64> = self.runs[i].iter().map(|r| r.wall).collect();
+            m.insert(leg.metric(), med(&self.runs[i], |r| r.wall * r.scale));
+            conditions.push((
+                format!("{}_raw", leg.metric()),
+                format!(
+                    "{} runs, min {:.6} p50 {:.6} max {:.6}",
+                    walls.len(),
+                    percentile(&walls, 0.0),
+                    median(&walls),
+                    percentile(&walls, 1.0)
+                ),
+            ));
+        }
+        let serial = &self.runs[0];
+        let pipelined = &self.runs[2];
+        let multigpu = &self.runs[3];
+        m.insert(
+            "modeled_device_s",
+            med(serial, |r| r.stats.modeled_seconds()),
+        );
+        m.insert(
+            "modeled_cp_s",
+            med(multigpu, |r| {
+                r.stats
+                    .topology
+                    .as_ref()
+                    .map_or(0.0, |t| t.modeled_critical_path_sec)
+            }),
+        );
+        layer_metrics(w, serial, pipelined, multigpu, &self.untraced, traced, m);
+        self.reference
     }
-    let serial = &runs[0];
-    let pipelined = &runs[2];
-    let multigpu = &runs[3];
-    m.insert(
-        "modeled_device_s",
-        med(serial, |r| r.stats.modeled_seconds()),
-    );
-    m.insert(
-        "modeled_cp_s",
-        med(multigpu, |r| {
-            r.stats
-                .topology
-                .as_ref()
-                .map_or(0.0, |t| t.modeled_critical_path_sec)
-        }),
-    );
-    layer_metrics(
-        w,
-        serial,
-        pipelined,
-        multigpu,
-        &untraced,
-        tracer.enabled(),
-        m,
-    );
-    reference
 }
 
 /// Per-layer figures of the fixpoint legs, from the serial leg unless
@@ -1047,21 +1222,103 @@ struct Sample {
     rows: Vec<Vec<u32>>,
 }
 
-/// What the serving window's reader measured.
+/// Latencies of one kind of reader operation over the run: the count and
+/// total of all of them, and a log-linear histogram of their nanoseconds
+/// with `2^SUB_BUCKET_BITS` buckets per power of two (under 0.8% wide) for
+/// the percentiles. Every operation is counted, and memory (and with it
+/// `peak_rss_mib`) stays flat however many operations a run makes.
 #[derive(Debug, Default)]
+struct Latencies {
+    count: u64,
+    total_us: f64,
+    buckets: Vec<u64>,
+}
+
+const SUB_BUCKET_BITS: u32 = 7;
+
+/// The histogram bucket of `ns`: exact below `2^(SUB_BUCKET_BITS + 1)`,
+/// then `2^SUB_BUCKET_BITS` buckets per power of two.
+fn bucket_of(ns: u64) -> usize {
+    let top = 63 - (ns | 1).leading_zeros();
+    if top <= SUB_BUCKET_BITS {
+        return ns as usize;
+    }
+    let shift = top - SUB_BUCKET_BITS;
+    ((shift as usize) << SUB_BUCKET_BITS) + (ns >> shift) as usize
+}
+
+/// The lowest nanosecond value of `bucket` and its width.
+fn bucket_range(bucket: usize) -> (f64, f64) {
+    let per = 1usize << SUB_BUCKET_BITS;
+    if bucket < 2 * per {
+        return (bucket as f64, 1.0);
+    }
+    let shift = bucket / per - 1;
+    let low = ((bucket - shift * per) as u64) << shift;
+    (low as f64, (1u64 << shift) as f64)
+}
+
+impl Latencies {
+    fn push(&mut self, us: f64) {
+        self.count += 1;
+        self.total_us += us;
+        let b = bucket_of((us * 1e3) as u64);
+        if self.buckets.len() <= b {
+            self.buckets.resize(b + 1, 0);
+        }
+        self.buckets[b] += 1;
+    }
+
+    /// Nearest-rank percentile `q` in microseconds, placed within its
+    /// bucket by its rank among the bucket's operations; 0 when empty.
+    fn percentile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut below = 0;
+        for (b, &n) in self.buckets.iter().enumerate() {
+            if below + n >= rank {
+                let (low, width) = bucket_range(b);
+                let within = (rank - below) as f64 - 0.5;
+                return (low + width * within / n as f64) * 1e-3;
+            }
+            below += n;
+        }
+        unreachable!("rank {rank} is within the count {}", self.count)
+    }
+}
+
+/// What the reader measured over the run. Latencies and serving time are
+/// scaled by the reader thread's [`HostClock`].
+#[derive(Debug)]
 struct ReadStats {
-    window: f64,
-    lookup_us: Vec<f64>,
-    goal_lookup_us: Vec<f64>,
+    /// Draws the lookup keys.
+    rng: Rng,
+    /// Operations issued so far; fixes the mix and the sampled answers.
+    op: u64,
+    lookup_us: Latencies,
+    goal_lookup_us: Latencies,
+    /// Serving time, raw and scaled.
+    seconds: f64,
+    scaled_seconds: f64,
+    scales: Vec<f64>,
     lookup_rows: u64,
     goal_lookup_rows: u64,
     unknown_relation: u64,
     samples: Vec<Sample>,
 }
 
-/// What the serving window's writer measured, one entry per update.
+impl ReadStats {
+    fn reads(&self) -> u64 {
+        self.lookup_us.count + self.goal_lookup_us.count
+    }
+}
+
+/// What the writer measured, one entry per update.
 #[derive(Debug, Default)]
 struct WriteStats {
+    /// Scaled time to visibility of every update that became visible.
     visible_ms: Vec<f64>,
     insert_us: Vec<f64>,
     refresh_run_s: Vec<f64>,
@@ -1071,7 +1328,7 @@ struct WriteStats {
     updates: u32,
 }
 
-/// What the serving window measured.
+/// What the serving windows measured.
 #[derive(Debug)]
 struct ServeStats {
     reads: ReadStats,
@@ -1083,11 +1340,10 @@ struct ServeStats {
 impl ServeStats {
     fn report(&self, m: &mut BTreeMap<&'static str, f64>, c: &mut Vec<(String, String)>) {
         let (r, w) = (&self.reads, &self.writes);
-        let reads = (r.lookup_us.len() + r.goal_lookup_us.len()) as f64;
-        m.insert("lookup_p50_us", median(&r.lookup_us));
-        m.insert("lookup_p99_us", percentile(&r.lookup_us, 0.99));
-        m.insert("goal_lookup_p50_us", median(&r.goal_lookup_us));
-        m.insert("reads_per_s", ratio(reads, r.window));
+        m.insert("lookup_p50_us", r.lookup_us.percentile(0.5));
+        m.insert("lookup_p99_us", r.lookup_us.percentile(0.99));
+        m.insert("goal_lookup_p50_us", r.goal_lookup_us.percentile(0.5));
+        m.insert("reads_per_s", ratio(r.reads() as f64, r.scaled_seconds));
         m.insert("update_visible_p50_ms", median(&w.visible_ms));
         m.insert("serve.insert_us", median(&w.insert_us));
         m.insert("serve.refresh_run_s", median(&w.refresh_run_s));
@@ -1096,20 +1352,32 @@ impl ServeStats {
         m.insert("serve.generator_late_ms", median(&w.late_ms));
         m.insert(
             "serve.rows_per_lookup",
-            ratio(r.lookup_rows as f64, r.lookup_us.len() as f64),
+            ratio(r.lookup_rows as f64, r.lookup_us.count as f64),
         );
         m.insert(
             "serve.goal_lookup_rows",
-            ratio(r.goal_lookup_rows as f64, r.goal_lookup_us.len() as f64),
+            ratio(r.goal_lookup_rows as f64, r.goal_lookup_us.count as f64),
         );
         c.push((
             "serve_samples".into(),
             format!(
-                "{} point_lookups, {} goal_lookups, {} updates",
-                r.lookup_us.len(),
-                r.goal_lookup_us.len(),
-                w.updates
+                "{} point_lookups, {} goal_lookups, {} updates, {:.3} s",
+                r.lookup_us.count, r.goal_lookup_us.count, w.updates, r.seconds,
             ),
+        ));
+        c.push(("reader_host_scale".into(), scale_summary(&r.scales)));
+        let goal_us = r.goal_lookup_us.total_us;
+        let point_us = r.lookup_us.total_us;
+        c.push((
+            "reader_goal_lookup_time_share".into(),
+            format!("{:.3}", ratio(goal_us, goal_us + point_us)),
+        ));
+        let busy_s = w.insert_us.iter().sum::<f64>() * 1e-6
+            + w.refresh_run_s.iter().sum::<f64>()
+            + w.publish_us.iter().sum::<f64>() * 1e-6;
+        c.push((
+            "writer_busy_share".into(),
+            format!("{:.3}", ratio(busy_s, r.seconds)),
         ));
         c.push((
             "writer_late_ms".into(),
@@ -1122,20 +1390,23 @@ impl ServeStats {
     }
 }
 
-/// The closed-loop reader of the serving window.
+/// The closed-loop reader of one serving window. Every [`PROBE_EVERY`]
+/// it stops to probe the host's speed, outside any timed operation and
+/// outside the serving time it reports.
 fn read_loop(
     w: &Workload,
     handle: &gpulog_serve::ServeHandle,
+    stats: &mut ReadStats,
     tracer: &Tracer,
-    start: Instant,
     deadline: Instant,
-) -> ReadStats {
-    let mut stats = ReadStats::default();
-    let mut rng = Rng::new(w.stream_seed ^ 0x5E4E);
-    let mut op = 0u64;
+) {
+    let mut clock = HostClock::new();
+    let mut scale = clock.scale;
+    let mut since = Instant::now();
     loop {
-        let key = w.keys[rng.below(w.keys.len())];
-        let goal = op % GOAL_LOOKUP_EVERY == GOAL_LOOKUP_EVERY - 1;
+        let key = w.keys[stats.rng.below(w.keys.len())];
+        let op = stats.op;
+        let goal = op % w.goal_lookup_every == w.goal_lookup_every - 1;
         let t = Instant::now();
         let rows = if goal {
             tracer.span("serve.goal_lookup", None, || {
@@ -1147,7 +1418,7 @@ fn read_loop(
             })
         };
         let done = Instant::now();
-        let us = secs(done - t) * 1e6;
+        let us = secs(done - t) * 1e6 * scale;
         match rows {
             Some(rows) => {
                 if goal {
@@ -1163,119 +1434,169 @@ fn read_loop(
             }
             None => stats.unknown_relation += 1,
         }
-        op += 1;
-        if done >= deadline {
-            stats.window = secs(done - start);
-            return stats;
-        }
-    }
-}
-
-/// The open-loop writer of the serving window: update `k` is due at
-/// `start + k / rate`, and its visibility is timed from that due time to
-/// the end of its publish.
-fn write_loop(
-    w: &Workload,
-    writer: &mut ServeWriter,
-    tracer: &Tracer,
-    start: Instant,
-    deadline: Instant,
-) -> WriteStats {
-    let mut stats = WriteStats::default();
-    let period = Duration::from_secs_f64(1.0 / w.update_hz);
-    loop {
-        let k = stats.updates;
-        let due = start + period * k;
-        if due >= deadline {
-            return stats;
-        }
-        let now = Instant::now();
-        if now < due {
-            std::thread::sleep(due - now);
-        }
-        stats
-            .late_ms
-            .push(secs(Instant::now().saturating_duration_since(due)) * 1e3);
-        let request = tracer.request();
-        let t = Instant::now();
-        let inserted = tracer.span("serve.insert_facts_batch", Some(request), || {
-            writer.insert_facts_batch(w.update_relation, &w.update(k))
-        });
-        let insert = t.elapsed();
-        let t = Instant::now();
-        let refreshed = tracer.span("serve.refresh", Some(request), || writer.refresh());
-        let refresh = t.elapsed();
-        match inserted.and(refreshed) {
-            Ok(run) => {
-                stats.visible_ms.push(secs(due.elapsed()) * 1e3);
-                stats.insert_us.push(secs(insert) * 1e6);
-                stats.refresh_run_s.push(run.wall_seconds);
-                stats
-                    .publish_us
-                    .push((secs(refresh) - run.wall_seconds) * 1e6);
+        stats.op += 1;
+        if done >= deadline || done - since >= PROBE_EVERY {
+            stats.seconds += secs(done - since);
+            stats.scaled_seconds += secs(done - since) * scale;
+            if done >= deadline {
+                stats.scales.append(&mut clock.scales);
+                return;
             }
-            Err(err) => stats.errors.push(format!("update {k}: {err}")),
+            scale = clock.scale();
+            since = Instant::now();
         }
-        stats.updates += 1;
     }
 }
 
-/// Phase 2: the serving window.
-fn serve_phase(
-    w: &Workload,
-    served: Option<ServeWriter>,
-    budget: Duration,
-    tracer: &Tracer,
-    tally: &mut Tally,
-) -> Option<ServeStats> {
-    let writer = match served {
-        Some(writer) => Ok(writer),
-        None => w
-            .prepare(&device(), EngineConfig::default())
-            .and_then(ServeWriter::new),
-    };
-    let mut writer = match writer {
-        Ok(writer) => writer,
-        Err(err) => {
-            tally.fail(format!("serve set-up: {err}"));
-            return None;
+/// Phase 2: the serving windows, one per cycle. The writer is open loop
+/// over the serving time of the whole run: update `k` is due `k / rate`
+/// seconds into it, and its visibility is timed from that due time to the
+/// end of its publish.
+#[derive(Debug)]
+struct ServePhase {
+    writer: Option<ServeWriter>,
+    failed: bool,
+    /// Serving time of the windows so far.
+    served: Duration,
+    reads: ReadStats,
+    writes: WriteStats,
+}
+
+impl ServePhase {
+    fn new(w: &Workload) -> Self {
+        ServePhase {
+            writer: None,
+            failed: false,
+            served: Duration::ZERO,
+            reads: ReadStats {
+                rng: Rng::new(w.stream_seed ^ 0x5E4E),
+                op: 0,
+                lookup_us: Latencies::default(),
+                goal_lookup_us: Latencies::default(),
+                seconds: 0.0,
+                scaled_seconds: 0.0,
+                scales: Vec::new(),
+                lookup_rows: 0,
+                goal_lookup_rows: 0,
+                unknown_relation: 0,
+                samples: Vec::new(),
+            },
+            writes: WriteStats::default(),
         }
-    };
-    let handle = writer.handle();
-    let start = Instant::now();
-    let deadline = start + budget;
-    let (reads, writes) = std::thread::scope(|s| {
-        let reader = s.spawn(|| read_loop(w, &handle, tracer, start, deadline));
-        let writes = write_loop(w, &mut writer, tracer, start, deadline);
-        (
-            reader.join().expect("the reader thread does not panic"),
-            writes,
-        )
-    });
-    tally.attempted +=
-        (reads.lookup_us.len() + reads.goal_lookup_us.len() + writes.visible_ms.len()) as u64;
-    for _ in 0..reads.unknown_relation {
-        tally.fail("a lookup named an unknown relation".into());
     }
-    for err in &writes.errors {
-        tally.fail(format!("serve {err}"));
+
+    /// One serving window of `budget`. The writer is `served` when the
+    /// workload's set-up publishes, else built here on first use.
+    fn run_for(
+        &mut self,
+        w: &Workload,
+        budget: Duration,
+        served: Option<ServeWriter>,
+        tracer: &Tracer,
+        tally: &mut Tally,
+        clock: &mut HostClock,
+    ) {
+        if self.writer.is_none() && !self.failed {
+            let writer = match served {
+                Some(writer) => Ok(writer),
+                None => w
+                    .prepare(&device(), EngineConfig::default())
+                    .and_then(ServeWriter::new),
+            };
+            match writer {
+                Ok(writer) => self.writer = Some(writer),
+                Err(err) => {
+                    self.failed = true;
+                    tally.fail(format!("serve set-up: {err}"));
+                }
+            }
+        }
+        let Some(writer) = self.writer.as_mut() else {
+            return;
+        };
+        let handle = writer.handle();
+        let (reads, writes) = (&mut self.reads, &mut self.writes);
+        let before = reads.reads();
+        let visible_before = writes.visible_ms.len();
+        let start = Instant::now();
+        let deadline = start + budget;
+        let period = Duration::from_secs_f64(1.0 / w.update_hz);
+        let served_before = self.served;
+        std::thread::scope(|s| {
+            s.spawn(|| read_loop(w, &handle, reads, tracer, deadline));
+            loop {
+                let k = writes.updates;
+                let due = start + (period * k).saturating_sub(served_before);
+                if due >= deadline {
+                    break;
+                }
+                // The writer probes the host only while it has time to spare.
+                if due.saturating_duration_since(Instant::now()) >= WRITER_PROBE_SLACK {
+                    clock.scale();
+                }
+                let scale = clock.scale;
+                let now = Instant::now();
+                if now < due {
+                    std::thread::sleep(due - now);
+                }
+                writes
+                    .late_ms
+                    .push(secs(Instant::now().saturating_duration_since(due)) * 1e3);
+                let request = tracer.request();
+                let t = Instant::now();
+                let inserted = tracer.span("serve.insert_facts_batch", Some(request), || {
+                    writer.insert_facts_batch(w.update_relation, &w.update(k))
+                });
+                let insert = t.elapsed();
+                let t = Instant::now();
+                let refreshed = tracer.span("serve.refresh", Some(request), || writer.refresh());
+                let refresh = t.elapsed();
+                match inserted.and(refreshed) {
+                    Ok(run) => {
+                        writes.visible_ms.push(secs(due.elapsed()) * 1e3 * scale);
+                        writes.insert_us.push(secs(insert) * 1e6);
+                        writes.refresh_run_s.push(run.wall_seconds);
+                        writes
+                            .publish_us
+                            .push((secs(refresh) - run.wall_seconds) * 1e6);
+                    }
+                    Err(err) => writes.errors.push(format!("update {k}: {err}")),
+                }
+                writes.updates += 1;
+            }
+        });
+        self.served += budget;
+        tally.attempted += self.reads.reads() - before;
+        tally.attempted += (self.writes.visible_ms.len() - visible_before) as u64;
     }
-    let final_rows = outputs(writer.engine()).unwrap_or_else(|err| {
-        tally.fail(format!("final snapshot: {err}"));
-        Vec::new()
-    });
-    Some(ServeStats {
-        reads,
-        writes,
-        generations: handle.generation(),
-        final_rows,
-    })
+
+    /// The run's serving measurements and the final served fact set.
+    fn finish(self, tally: &mut Tally) -> Option<ServeStats> {
+        let writer = self.writer?;
+        for _ in 0..self.reads.unknown_relation {
+            tally.fail("a lookup named an unknown relation".into());
+        }
+        for err in &self.writes.errors {
+            tally.fail(format!("serve {err}"));
+        }
+        let final_rows = outputs(writer.engine()).unwrap_or_else(|err| {
+            tally.fail(format!("final snapshot: {err}"));
+            Vec::new()
+        });
+        Some(ServeStats {
+            generations: writer.handle().generation(),
+            reads: self.reads,
+            writes: self.writes,
+            final_rows,
+        })
+    }
 }
 
 /// What the goal-query loop measured.
 #[derive(Debug, Default)]
 struct GoalStats {
-    latency_us: Vec<f64>,
+    /// `(source, latency)` of every query.
+    latency_us: Vec<(u32, f64)>,
     sub_run_us: Vec<f64>,
     iterations: Vec<f64>,
     materialized: Vec<f64>,
@@ -1285,7 +1606,15 @@ struct GoalStats {
 
 impl GoalStats {
     fn report(&self, m: &mut BTreeMap<&'static str, f64>, c: &mut Vec<(String, String)>) {
-        m.insert("goal_query_p50_us", median(&self.latency_us));
+        // A query's cost depends on its source, and sources are asked
+        // unequally often: a source's cost is the median of its queries,
+        // and the metric is the median over sources.
+        let mut by_source: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+        for &(source, us) in &self.latency_us {
+            by_source.entry(source).or_default().push(us);
+        }
+        let costs: Vec<f64> = by_source.values().map(|v| median(v)).collect();
+        m.insert("goal_query_p50_us", median(&costs));
         m.insert("goal.sub_run_us", median(&self.sub_run_us));
         m.insert("goal.iterations", median(&self.iterations));
         m.insert("goal.tuples_materialized", median(&self.materialized));
@@ -1294,56 +1623,81 @@ impl GoalStats {
 }
 
 /// Phase 3: closed-loop goal queries through the magic-sets rewrite, in
-/// rounds over the workload's goal sources (each round in a seeded
-/// order): at least one round, and more while they fit the budget.
-fn goal_phase(
-    w: &Workload,
-    budget: Duration,
-    tracer: &Arc<Tracer>,
-    tally: &mut Tally,
-) -> GoalStats {
-    let mut stats = GoalStats::default();
-    let engine = match w.prepare(&device(), EngineConfig::default()) {
-        Ok(engine) => engine,
-        Err(err) => {
-            tally.fail(format!("goal set-up: {err}"));
-            return stats;
+/// rounds over the workload's goal sources, each round in a seeded order.
+#[derive(Debug)]
+struct GoalPhase {
+    engine: Option<GpulogEngine>,
+    rng: Rng,
+    /// Sources still to ask in the current round.
+    queue: Vec<u32>,
+    rounds: usize,
+    stats: GoalStats,
+}
+
+impl GoalPhase {
+    fn new(w: &Workload, tally: &mut Tally) -> Self {
+        let engine = w
+            .prepare(&device(), EngineConfig::default())
+            .map_err(|err| tally.fail(format!("goal set-up: {err}")))
+            .ok();
+        GoalPhase {
+            engine,
+            rng: Rng::new(w.stream_seed ^ 0x60A1),
+            queue: Vec::new(),
+            rounds: 0,
+            stats: GoalStats::default(),
         }
-    };
-    let mut rng = Rng::new(w.stream_seed ^ 0x60A1);
-    let deadline = Instant::now() + budget;
-    let mut sources = w.goal_sources.clone();
-    for round in 1.. {
-        let round_start = Instant::now();
-        for i in (1..sources.len()).rev() {
-            sources.swap(i, rng.below(i + 1));
-        }
-        for &key in &sources {
+    }
+
+    /// Queries for `budget`: at least one, and more while one as long as
+    /// the last still fits.
+    fn run_for(
+        &mut self,
+        w: &Workload,
+        budget: Duration,
+        tracer: &Arc<Tracer>,
+        tally: &mut Tally,
+        clock: &mut HostClock,
+    ) {
+        let Some(engine) = &self.engine else {
+            return;
+        };
+        let deadline = Instant::now() + budget;
+        loop {
+            if self.queue.is_empty() {
+                self.queue = w.goal_sources.clone();
+                for i in (1..self.queue.len()).rev() {
+                    self.queue.swap(i, self.rng.below(i + 1));
+                }
+                self.rounds += 1;
+            }
+            let key = self.queue.pop().expect("a round has sources");
             let request = tracer.request();
+            let scale = clock.scale();
             let t = Instant::now();
             let result = tracer.span("engine.run_query_with", Some(request), || {
                 engine.run_query_with(w.query_relation, &[Some(key), None])
             });
-            let us = secs(t.elapsed()) * 1e6;
+            let us = secs(t.elapsed()) * 1e6 * scale;
+            let stats = &mut self.stats;
             match result {
                 Ok(result) => {
                     tally.ok();
-                    stats.latency_us.push(us);
+                    stats.latency_us.push((key, us));
                     stats.sub_run_us.push(result.stats.wall_seconds * 1e6);
                     stats.iterations.push(result.stats.iterations as f64);
                     stats.materialized.push(result.tuples_materialized as f64);
-                    if round == 1 {
+                    if self.rounds == 1 {
                         stats.samples.push((key, result.answers.as_flat().to_vec()));
                     }
                 }
                 Err(err) => tally.fail(format!("goal query from {key}: {err}")),
             }
-        }
-        if !another_round(round, 1, round_start, deadline) {
-            break;
+            if Instant::now() + t.elapsed() > deadline {
+                break;
+            }
         }
     }
-    stats
 }
 
 /// Host CSPA sizes from the Soufflé-like baseline (its own relation
@@ -1374,8 +1728,8 @@ fn check_fixpoint(w: &Workload, reference: &Outputs, tally: &mut Tally) {
                 format!("CSPA sizes {got:?} differ from the Souffle-like {expected:?}")
             });
         }
-        Kind::Reach => {
-            let host = HostGraph::new(&w.pairs("Edge"));
+        Kind::Reach | Kind::NegatedReach => {
+            let host = w.host_graph(&[]);
             tally.check(host.closure_flat() == relation(reference, "Reach"), || {
                 "Reach differs from the host BFS closure".into()
             });
@@ -1416,10 +1770,8 @@ fn check_serve(w: &Workload, serve: &ServeStats, reference: Option<&Outputs>, ta
             // serial fixpoint, itself checked against the baseline.
             reference.map_or_else(Vec::new, |r| relation(r, w.query_relation).to_vec())
         }
-        Kind::Reach => {
-            let mut edges = w.pairs("Edge");
-            edges.extend(&updates);
-            let closure = HostGraph::new(&edges).closure_flat();
+        Kind::Reach | Kind::NegatedReach => {
+            let closure = w.host_graph(&updates).closure_flat();
             tally.check(closure == relation(&serve.final_rows, "Reach"), || {
                 "final served Reach differs from the host BFS closure".into()
             });
@@ -1446,14 +1798,14 @@ fn check_serve(w: &Workload, serve: &ServeStats, reference: Option<&Outputs>, ta
 /// The goal oracle: each kept answer set against host BFS from its source
 /// (for CSPA, against the checked serial fixpoint's `ValueFlow` rows).
 fn check_goal(w: &Workload, goal: &GoalStats, reference: Option<&Outputs>, tally: &mut Tally) {
-    let host = HostGraph::new(&w.pairs("Edge"));
+    let host = w.host_graph(&[]);
     for (key, answers) in &goal.samples {
         let expected: Vec<u32> = match w.kind {
             Kind::Cspa => match reference {
                 Some(r) => rows_with(relation(r, w.query_relation), 0, *key).concat(),
                 None => continue,
             },
-            Kind::Reach => host
+            Kind::Reach | Kind::NegatedReach => host
                 .reachable_from(*key)
                 .into_iter()
                 .flat_map(|y| [*key, y])
@@ -1567,5 +1919,34 @@ mod tests {
         assert_eq!(percentile(&v, 0.5), 50.0);
         assert_eq!(percentile(&v, 0.99), 99.0);
         assert_eq!(median(&[]), 0.0);
+    }
+    #[test]
+    fn latency_histogram_percentiles_stay_within_a_bucket() {
+        let mut l = Latencies::default();
+        assert_eq!(l.percentile(0.5), 0.0);
+        // 1..=1000 µs, one operation each.
+        for us in 1..=1000 {
+            l.push(f64::from(us));
+        }
+        assert_eq!(l.count, 1000);
+        for (q, exact) in [(0.01, 10.0), (0.5, 500.0), (0.99, 990.0), (1.0, 1000.0)] {
+            let got = l.percentile(q);
+            assert!(
+                (got - exact).abs() <= exact / 128.0,
+                "p{q}: {got} vs {exact}"
+            );
+        }
+        // Exact below 256 ns.
+        let mut small = Latencies::default();
+        small.push(0.1);
+        assert!((small.percentile(0.5) - 0.1).abs() < 1e-3);
+    }
+
+    #[test]
+    fn host_clock_scales_are_positive_and_finite() {
+        let mut clock = HostClock::new();
+        let scale = clock.scale();
+        assert!(scale.is_finite() && scale > 0.0, "{scale}");
+        assert!(!clock.scales.is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! The four workloads: their seeded inputs, how a run divides its time
+//! The three workloads: their seeded inputs, how a run divides its time
 //! between the fixpoint legs, the serving window and the goal queries,
 //! and the host oracles each one is checked against.
 //!
@@ -15,12 +15,15 @@ use gpulog::{EngineConfig, EngineResult, GpulogEngine, TupleBatch};
 use gpulog_datasets::cspa::httpd_like;
 use gpulog_datasets::generators::road_network;
 use gpulog_device::Device;
-use gpulog_queries::{CSPA_PROGRAM, REACH_PROGRAM};
+use gpulog_queries::{CSPA_PROGRAM, NEGATED_REACH_PROGRAM, REACH_PROGRAM};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Fresh ids for the update stream start here, above every input id, so
 /// each update is an isolated pair and the work per refresh stays flat.
 const FRESH_BASE: u32 = 1 << 24;
+
+/// `serve-mixed` blocks every `BLOCK_STRIDE`-th node of its graph.
+const BLOCK_STRIDE: usize = 8;
 
 /// Input size: the benchmark's own, or the self-test's tiny one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +39,9 @@ pub enum Kind {
     Cspa,
     /// Right-recursive REACH over `Edge`.
     Reach,
+    /// REACH that never enters a `Blocked` node: two strata, the closure
+    /// filtered by an anti-join against the finished `Blocked`.
+    NegatedReach,
 }
 
 /// Shares of `--seconds` given to the three measured phases.
@@ -50,7 +56,6 @@ pub struct Shares {
 #[derive(Debug, Clone)]
 pub struct Workload {
     pub name: &'static str,
-    pub size: Size,
     pub kind: Kind,
     /// Extensional facts, relation by relation (flat, arity 2 or 1).
     pub edb: Vec<(&'static str, Vec<u32>)>,
@@ -67,7 +72,12 @@ pub struct Workload {
     /// sources made the median swing 5x between seeds, and an even-sized
     /// set let it flip between the two middle ones.
     pub goal_sources: Vec<u32>,
-    /// Writer rate in updates per second (open loop).
+    /// The reader mix: every `goal_lookup_every`-th reader operation is a
+    /// non-prefix `goal_lookup`, the rest `point_lookup`s. Set so that
+    /// goal lookups take about a tenth of the reader's time.
+    pub goal_lookup_every: u64,
+    /// Writer rate in updates per second (open loop), set so that the
+    /// writer is busy for 20-50% of the serving window.
     pub update_hz: f64,
     pub shares: Shares,
     /// Whether set-up includes the initial fixpoint and its publish
@@ -170,9 +180,15 @@ pub fn build(name: &str, seed: u64, size: Size) -> Result<Workload, String> {
                 .map(|&(a, b)| (perm[a as usize], perm[b as usize]))
                 .collect();
             let keys = perm.clone();
+            // Goal queries on CSPA fall in two structural classes: ~0.1 s
+            // at positions 0, 3, 4, 7 and 8 of nine evenly spread ids, and
+            // ~2 s at 1, 2, 5 and 6. With a dear source in the set, each
+            // cheap one was asked only ~8 times a run, too few for a
+            // steady per-source figure; the median over sources was a
+            // cheap one anyway.
+            let spread = spread_ids(bound, 9, &perm);
             Ok(Workload {
                 name: "cspa-httpd",
-                size,
                 kind: Kind::Cspa,
                 conditions: vec![
                     ("input", format!("httpd_like({scale}), ids permuted")),
@@ -185,13 +201,14 @@ pub fn build(name: &str, seed: u64, size: Size) -> Result<Workload, String> {
                 ],
                 query_relation: "ValueFlow",
                 update_relation: "Assign",
-                goal_sources: spread_ids(bound, 5, &perm),
+                goal_sources: vec![spread[0], spread[4], spread[8]],
                 keys,
-                update_hz: 2.0,
+                goal_lookup_every: 1600,
+                update_hz: 1.5,
                 shares: Shares {
-                    fixpoint: 0.55,
-                    serve: 0.2,
-                    goal: 0.25,
+                    fixpoint: 0.35,
+                    serve: 0.25,
+                    goal: 0.4,
                 },
                 setup_publishes: false,
                 stream_seed,
@@ -204,7 +221,6 @@ pub fn build(name: &str, seed: u64, size: Size) -> Result<Workload, String> {
             let edges = relabel_with_tail(&chain.edges, &perm, seed);
             Ok(Workload {
                 name: "reach-chain",
-                size,
                 kind: Kind::Reach,
                 conditions: vec![
                     ("input", format!("road_network({nodes}, 0), ids permuted")),
@@ -216,7 +232,8 @@ pub fn build(name: &str, seed: u64, size: Size) -> Result<Workload, String> {
                 update_relation: "Edge",
                 goal_sources: spread_ids(nodes, 9, &perm),
                 keys: perm,
-                update_hz: 4.0,
+                goal_lookup_every: 2000,
+                update_hz: 5.0,
                 shares: Shares {
                     fixpoint: 0.55,
                     serve: 0.25,
@@ -227,8 +244,10 @@ pub fn build(name: &str, seed: u64, size: Size) -> Result<Workload, String> {
             })
         }
         "serve-mixed" => {
-            // A forest of small road networks: lookups return tens of rows
-            // and a refresh re-derives a ~35k-tuple closure.
+            // A forest of small road networks under negated REACH: lookups
+            // return tens of rows, a refresh re-derives a closure of tens
+            // of thousands of tuples, and every fixpoint, refresh and goal
+            // query runs the anti-join against `Blocked`.
             let (components, len) = if tiny { (3, 6) } else { (48, 24) };
             let mut pairs = Vec::new();
             for c in 0..components {
@@ -238,24 +257,33 @@ pub fn build(name: &str, seed: u64, size: Size) -> Result<Workload, String> {
             let nodes = components * len;
             let perm = permutation(nodes, &mut rng);
             let edges = relabel_with_tail(&pairs, &perm, seed);
+            // Every `BLOCK_STRIDE`-th structural node is blocked, so the
+            // closure's size does not depend on the seed.
+            let blocked: Vec<u32> = (0..nodes)
+                .step_by(BLOCK_STRIDE)
+                .map(|v| perm[v as usize])
+                .collect();
             Ok(Workload {
                 name: "serve-mixed",
-                size,
-                kind: Kind::Reach,
+                kind: Kind::NegatedReach,
                 conditions: vec![
                     (
                         "input",
-                        format!("{components} x road_network({len}, 6), ids permuted"),
+                        format!(
+                            "{components} x road_network({len}, 6), every {BLOCK_STRIDE}th node blocked, ids permuted"
+                        ),
                     ),
                     ("graph_nodes", nodes.to_string()),
                     ("edge_tuples", edges.len().to_string()),
+                    ("blocked_nodes", blocked.len().to_string()),
                 ],
-                edb: vec![("Edge", flat(&edges))],
+                edb: vec![("Edge", flat(&edges)), ("Blocked", blocked)],
                 query_relation: "Reach",
                 update_relation: "Edge",
                 goal_sources: perm.clone(),
                 keys: perm,
-                update_hz: 10.0,
+                goal_lookup_every: 7000,
+                update_hz: 18.0,
                 shares: Shares {
                     fixpoint: 0.15,
                     serve: 0.55,
@@ -278,6 +306,7 @@ impl Workload {
         match self.kind {
             Kind::Cspa => CSPA_PROGRAM,
             Kind::Reach => REACH_PROGRAM,
+            Kind::NegatedReach => NEGATED_REACH_PROGRAM,
         }
     }
 
@@ -305,6 +334,19 @@ impl Workload {
         TupleBatch::new(2, vec![a + 1, a])
     }
 
+    /// The host oracle over the base input plus `extra` edges (REACH
+    /// workloads only).
+    pub fn host_graph(&self, extra: &[(u32, u32)]) -> HostGraph {
+        let mut edges = self.pairs("Edge");
+        edges.extend_from_slice(extra);
+        let blocked = self
+            .edb
+            .iter()
+            .find(|(name, _)| *name == "Blocked")
+            .map_or(&[][..], |(_, ids)| ids.as_slice());
+        HostGraph::new(&edges, blocked)
+    }
+
     /// Binary facts of `relation` (the base input only).
     pub fn pairs(&self, relation: &str) -> Vec<(u32, u32)> {
         self.edb
@@ -316,29 +358,33 @@ impl Workload {
 }
 
 /// Host-side reachability, sharing no code with the engine: breadth-first
-/// search over an adjacency map.
+/// search over an adjacency map that never enters a blocked node.
 #[derive(Debug)]
 pub struct HostGraph {
     adjacency: HashMap<u32, Vec<u32>>,
+    blocked: HashSet<u32>,
 }
 
 impl HostGraph {
-    pub fn new(edges: &[(u32, u32)]) -> Self {
+    pub fn new(edges: &[(u32, u32)], blocked: &[u32]) -> Self {
         let mut adjacency: HashMap<u32, Vec<u32>> = HashMap::new();
         for &(a, b) in edges {
             adjacency.entry(a).or_default().push(b);
         }
-        HostGraph { adjacency }
+        HostGraph {
+            adjacency,
+            blocked: blocked.iter().copied().collect(),
+        }
     }
 
-    /// Every node `source` reaches, sorted.
+    /// Every node `source` reaches through unblocked nodes, sorted.
     pub fn reachable_from(&self, source: u32) -> Vec<u32> {
         let mut seen: HashSet<u32> = HashSet::new();
         let mut queue: VecDeque<u32> = VecDeque::from([source]);
         let mut reached = Vec::new();
         while let Some(v) = queue.pop_front() {
             for &next in self.adjacency.get(&v).map(Vec::as_slice).unwrap_or(&[]) {
-                if seen.insert(next) {
+                if !self.blocked.contains(&next) && seen.insert(next) {
                     reached.push(next);
                     queue.push_back(next);
                 }
@@ -381,10 +427,13 @@ mod tests {
 
     #[test]
     fn host_graph_closes_over_paths_and_cycles() {
-        let g = HostGraph::new(&[(0, 1), (1, 2), (2, 0), (3, 4)]);
+        let g = HostGraph::new(&[(0, 1), (1, 2), (2, 0), (3, 4)], &[]);
         assert_eq!(g.reachable_from(0), vec![0, 1, 2]);
         assert_eq!(g.reachable_from(4), Vec::<u32>::new());
-        let path = HostGraph::new(&[(0, 1), (1, 2)]);
+        let path = HostGraph::new(&[(0, 1), (1, 2)], &[]);
         assert_eq!(path.closure_flat(), vec![0, 1, 0, 2, 1, 2]);
+        let blocked = HostGraph::new(&[(0, 1), (1, 2), (2, 0), (0, 3)], &[1]);
+        assert_eq!(blocked.reachable_from(0), vec![3]);
+        assert_eq!(blocked.reachable_from(2), vec![0, 3]);
     }
 }
